@@ -48,6 +48,11 @@ const DETERMINISTIC_COUNTERS: &[&str] = &[
     "lp.dual_bound_flips",
     "lp.batch_solves",
     "lp.batch_divergences",
+    // Master branch and bound. Deterministic while no call reaches its
+    // wall-clock limit (`mip_time_limit`), which the records never do.
+    "lp.mip.nodes",
+    "lp.mip.cold_nodes",
+    "lp.mip.node_cap_hits",
     "flexile.batch_dispatch",
     "flexile.cuts_added",
     "flexile.scenarios_retried",

@@ -70,9 +70,10 @@ pub struct MasterOptions {
     pub exact_threshold: usize,
     /// Branch-and-bound budget for the exact mode.
     pub mip_time_limit: Duration,
-    /// LP presolve on the branch-and-bound node relaxations. On by
-    /// default; the decomposition's bit-identity tests toggle it to prove
-    /// the master's output does not depend on the reduction.
+    /// LP presolve on the branch-and-bound root relaxation (child nodes
+    /// warm-start and skip it). On by default; the decomposition's
+    /// bit-identity tests toggle it to prove the master's output does not
+    /// depend on the reduction.
     pub presolve: bool,
 }
 

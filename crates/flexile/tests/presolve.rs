@@ -7,9 +7,10 @@
 //!   the decomposition trajectory. (Subproblems always solve with presolve
 //!   off — Benders cuts are built from their duals, and the cut-function
 //!   equivalence tests in `pool.rs` pin those bit-exactly.)
-//! * **Work reduction** — on the Sprint fixture the presolved master does
-//!   measurably fewer simplex pivots, witnessed through the
-//!   `lp.presolve_removed_cols` counter actually firing.
+//! * **Warm nodes** — on the Sprint fixture the master's branch-and-bound
+//!   nodes restart from their parent's basis (`lp.warm.hit`,
+//!   `lp.dual_restarts`); presolve runs only on the cold root, which the
+//!   `flexile-lp` telemetry tests pin down.
 
 use flexile_core::{solve_flexile, FlexileDesign, FlexileOptions};
 use flexile_scenario::{enumerate_scenarios, model::link_units, EnumOptions, ScenarioSet};
@@ -120,7 +121,7 @@ fn design_identical_presolve_on_off_sprint() {
 }
 
 #[test]
-fn presolve_counters_fire_on_sprint_master() {
+fn master_nodes_warm_start_on_sprint() {
     let _guard = exclusive();
     let (inst, set) = sprint_setup();
     flexile_obs::enable();
@@ -128,6 +129,18 @@ fn presolve_counters_fire_on_sprint_master() {
     let _ = solve_flexile(&inst, &set, &opts);
     let report = flexile_obs::drain();
     flexile_obs::disable();
-    let removed = report.counters.get("lp.presolve_removed_cols").copied().unwrap_or(0);
-    assert!(removed > 0, "master presolve removed no columns on Sprint: {report:?}");
+    let counter = |name: &str| report.counters.get(name).copied().unwrap_or(0);
+    assert!(counter("lp.mip.nodes") > 1, "the Sprint master must branch: {report:?}");
+    // Every subproblem warm restart counts once at the LP level and once at
+    // the pool level; the LP-level surplus is the master's node solves.
+    assert!(
+        counter("lp.warm.hit") > counter("flexile.scenario_warm_hit"),
+        "master nodes must warm-start: {:?}",
+        report.counters
+    );
+    assert!(
+        counter("lp.dual_restarts") > counter("flexile.dual_restart"),
+        "branching bounds must repair by dual simplex: {:?}",
+        report.counters
+    );
 }

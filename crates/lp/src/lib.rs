@@ -19,8 +19,9 @@
 //!   postsolve pass (fixed- and free-column elimination, empty/singleton-row
 //!   removal, bound tightening) with exact primal+dual recovery, and a
 //!   CRASH(LTSF)-style bound-shift crash that starts phase 1 near-feasible.
-//! * [`mip`] — a best-first branch-and-bound solver for models with binary /
-//!   integer variables, with a fix-and-dive rounding heuristic for incumbents.
+//! * [`mip`] — a depth-first branch-and-bound solver for models with binary /
+//!   integer variables: child nodes warm-start from the parent's basis, and
+//!   a fix-and-resolve rounding heuristic finds incumbents.
 //! * [`rowgen`] — a lazy-constraint driver: repeatedly solve, ask an oracle
 //!   for violated rows, add them, and warm-start the next solve. Used for the
 //!   large scenario-bundled LPs (Teavar, CVaR variants) whose full row set

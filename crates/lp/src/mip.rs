@@ -1,20 +1,33 @@
-//! Best-first branch-and-bound for mixed-integer programs.
+//! Depth-first, warm-started branch-and-bound for mixed-integer programs.
 //!
 //! The Flexile formulation (I) and the decomposition master problem are MIPs
 //! over binary `z_fq` variables. This module provides an exact solver for
 //! small/medium instances: LP relaxation at every node, branching on the most
-//! fractional integer variable, best-bound node selection, plus a
-//! fix-and-resolve rounding heuristic to find incumbents early. Node and time
-//! budgets make it safe to call on larger instances, in which case the result
-//! reports the achieved bound and the incumbent (`MipStatus::Feasible`).
+//! fractional integer variable, plus a fix-and-resolve rounding heuristic to
+//! find incumbents early.
+//!
+//! Nodes are explored deepest first (ties: best bound, then newest), so the
+//! search dives to an incumbent quickly and the open frontier stays small.
+//! Each child node re-solves from its parent's optimal basis: a bound change
+//! keeps that basis dual feasible, so the simplex repairs it with a few
+//! dual pivots instead of a cold two-phase solve. The root relaxation is
+//! solved cold and presolved; warm solves skip presolve. A node whose
+//! parent basis the simplex rejects falls back to a cold solve
+//! (`lp.mip.cold_nodes`), presolved only when the rejection was a
+//! numerical failure.
+//!
+//! Node and time budgets make it safe to call on larger instances, in which
+//! case the result reports the achieved bound and the incumbent
+//! (`MipStatus::Feasible`).
 
 use crate::basis::EngineKind;
 use crate::error::LpError;
 use crate::model::{Model, Sense, VarId};
-use crate::simplex::{SimplexOptions, Solution};
+use crate::simplex::{self, Basis, RestartKind, SimplexOptions, Solution};
 use crate::INT_TOL;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 /// Options for the branch-and-bound search.
@@ -30,10 +43,9 @@ pub struct MipOptions {
     pub rel_gap: f64,
     /// Basis engine used for every node LP relaxation.
     pub engine: EngineKind,
-    /// Run the LP presolve on every node relaxation. Pays off in
-    /// branch-and-bound specifically: branching fixes binary columns, and
-    /// the presolve's fixed-column elimination shrinks each node LP before
-    /// the simplex sees it.
+    /// Run the LP presolve on the cold root relaxation and on the simplex's
+    /// cold retry after a numerical failure. Warm-started nodes skip it:
+    /// their parent basis addresses the full column space.
     pub presolve: bool,
 }
 
@@ -78,44 +90,96 @@ pub struct MipResult {
     pub nodes: usize,
 }
 
-#[derive(Clone)]
+/// An open node of the search tree.
 struct Node {
     /// Bound overrides for integer variables: `(var, lb, ub)`.
     fixes: Vec<(VarId, f64, f64)>,
-}
-
-struct HeapEntry {
+    /// Branchings from the root.
+    depth: usize,
+    /// The parent's relaxation objective (minimization form): a lower bound
+    /// on every point of this subtree.
     bound_min: f64,
+    /// Creation order; unique per node.
     seq: usize,
-    node: Node,
+    /// The parent's optimal basis, shared by both siblings. `None` at the
+    /// root.
+    warm: Option<Rc<Basis>>,
 }
 
-impl PartialEq for HeapEntry {
+impl PartialEq for Node {
     fn eq(&self, other: &Self) -> bool {
-        self.bound_min == other.bound_min && self.seq == other.seq
+        self.cmp(other) == Ordering::Equal
     }
 }
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
+impl Eq for Node {}
+impl PartialOrd for Node {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for HeapEntry {
+impl Ord for Node {
     fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; we want the smallest minimization bound
-        // first, so reverse. Tie-break on insertion order (DFS-ish).
-        other
-            .bound_min
-            .partial_cmp(&self.bound_min)
-            .unwrap_or(Ordering::Equal)
-            .then(other.seq.cmp(&self.seq))
+        // BinaryHeap pops the maximum: the deepest node, then the smallest
+        // minimization bound, then the newest.
+        self.depth
+            .cmp(&other.depth)
+            .then_with(|| other.bound_min.partial_cmp(&self.bound_min).unwrap_or(Ordering::Equal))
+            .then(self.seq.cmp(&other.seq))
+    }
+}
+
+/// Solve `work` with `fixes` applied, then restore the original bounds.
+/// `Ok(None)` means the relaxation is infeasible. `on_relaxation` sees the
+/// model with the overrides in place, its optimal solution, and how the
+/// simplex used the warm basis.
+fn solve_relaxation(
+    work: &mut Model,
+    fixes: &[(VarId, f64, f64)],
+    opts: &SimplexOptions,
+    warm: Option<&Basis>,
+    on_relaxation: &mut impl FnMut(&Model, &Solution, RestartKind),
+) -> Result<Option<(Solution, RestartKind)>, LpError> {
+    let saved: Vec<(VarId, f64, f64)> = fixes
+        .iter()
+        .map(|&(v, _, _)| {
+            let (l, u) = work.bounds(v);
+            (v, l, u)
+        })
+        .collect();
+    for &(v, l, u) in fixes {
+        work.set_bounds(v, l, u);
+    }
+    let res = simplex::solve_kind(work, opts, warm);
+    if let Ok((sol, kind)) = &res {
+        on_relaxation(work, sol, *kind);
+    }
+    for &(v, l, u) in &saved {
+        work.set_bounds(v, l, u);
+    }
+    match res {
+        Ok(solved) => Ok(Some(solved)),
+        Err(LpError::Infeasible) => Ok(None),
+        Err(e) => Err(e),
     }
 }
 
 /// Solve a MIP by branch and bound. The `model`'s integer variables are
 /// those marked via [`Model::add_binary`]/[`Model::set_integer`].
+///
+/// Emits the counters `lp.mip.nodes` (node relaxations solved),
+/// `lp.mip.cold_nodes` (child nodes whose parent basis the simplex
+/// rejected) and `lp.mip.node_cap_hits` (runs stopped by `max_nodes`).
 pub fn solve_mip(model: &Model, opts: &MipOptions) -> Result<MipResult, LpError> {
+    branch_and_bound(model, opts, |_, _, _| {})
+}
+
+/// [`solve_mip`] with a hook called after every relaxation solve (nodes and
+/// rounding probes) on the model with that relaxation's bounds applied.
+pub(crate) fn branch_and_bound(
+    model: &Model,
+    opts: &MipOptions,
+    mut on_relaxation: impl FnMut(&Model, &Solution, RestartKind),
+) -> Result<MipResult, LpError> {
     let ints = model.integer_vars();
     if ints.is_empty() {
         let sol = model.solve()?;
@@ -133,7 +197,6 @@ pub fn solve_mip(model: &Model, opts: &MipOptions) -> Result<MipResult, LpError>
         Sense::Min => 1.0,
         Sense::Max => -1.0,
     };
-    let to_min = |obj: f64| min_sign * obj;
 
     let mut work = model.clone();
     let simplex_opts = SimplexOptions {
@@ -146,56 +209,39 @@ pub fn solve_mip(model: &Model, opts: &MipOptions) -> Result<MipResult, LpError>
     let mut heap = BinaryHeap::new();
     let mut seq = 0usize;
     let mut nodes = 0usize;
-    let mut best_bound_min = f64::NEG_INFINITY;
+    let mut cold_nodes = 0u64;
+    let mut capped = false;
 
-    heap.push(HeapEntry {
+    heap.push(Node {
+        fixes: Vec::new(),
+        depth: 0,
         bound_min: f64::NEG_INFINITY,
         seq,
-        node: Node { fixes: Vec::new() },
+        warm: None,
     });
 
-    let solve_node = |work: &mut Model, fixes: &[(VarId, f64, f64)]| -> Result<Option<Solution>, LpError> {
-        // Apply overrides, solve, then restore the original bounds.
-        let saved: Vec<(VarId, f64, f64)> = fixes
-            .iter()
-            .map(|&(v, _, _)| {
-                let (l, u) = work.bounds(v);
-                (v, l, u)
-            })
-            .collect();
-        for &(v, l, u) in fixes {
-            work.set_bounds(v, l, u);
-        }
-        let res = work.solve_with(&simplex_opts, None);
-        for &(v, l, u) in &saved {
-            work.set_bounds(v, l, u);
-        }
-        match res {
-            Ok(sol) => Ok(Some(sol)),
-            Err(LpError::Infeasible) => Ok(None),
-            Err(e) => Err(e),
-        }
-    };
-
-    while let Some(entry) = heap.pop() {
-        if nodes >= opts.max_nodes || start.elapsed() > opts.time_limit {
-            // Put it back conceptually: the popped bound is the best bound.
-            best_bound_min = best_bound_min.max(entry.bound_min);
-            break;
-        }
-        // Prune against incumbent.
+    while let Some(node) = heap.pop() {
         if let Some((_, inc)) = &incumbent {
-            if entry.bound_min >= *inc - opts.abs_gap {
-                best_bound_min = best_bound_min.max(*inc);
-                continue;
+            if node.bound_min >= *inc - opts.abs_gap {
+                continue; // dominated subtree
             }
         }
+        if nodes >= opts.max_nodes || start.elapsed() > opts.time_limit {
+            capped = nodes >= opts.max_nodes;
+            heap.push(node); // still open: it bounds the optimum below
+            break;
+        }
         nodes += 1;
-        let sol = match solve_node(&mut work, &entry.node.fixes)? {
-            Some(s) => s,
-            None => continue,
-        };
-        let obj_min = to_min(sol.objective);
+        let warm = node.warm.as_deref();
+        let (sol, kind) =
+            match solve_relaxation(&mut work, &node.fixes, &simplex_opts, warm, &mut on_relaxation)? {
+                Some(solved) => solved,
+                None => continue,
+            };
+        if warm.is_some() && kind == RestartKind::Cold {
+            cold_nodes += 1;
+        }
+        let obj_min = min_sign * sol.objective;
         if let Some((_, inc)) = &incumbent {
             if obj_min >= *inc - opts.abs_gap {
                 continue; // dominated subtree
@@ -214,81 +260,79 @@ pub fn solve_mip(model: &Model, opts: &MipOptions) -> Result<MipResult, LpError>
             }
         }
 
-        match branch {
-            None => {
-                // Integer feasible: candidate incumbent.
-                let better = incumbent.as_ref().is_none_or(|(_, inc)| obj_min < *inc);
-                if better {
-                    incumbent = Some((sol.x.clone(), obj_min));
-                }
-            }
-            Some((v, val)) => {
-                // Rounding heuristic at shallow depths: fix all ints to the
-                // rounded relaxation values and test feasibility.
-                if entry.node.fixes.len() <= 1 && incumbent.is_none() {
-                    let fixes: Vec<(VarId, f64, f64)> = ints
-                        .iter()
-                        .map(|&iv| {
-                            let (lo, hi) = work.bounds(iv);
-                            let mut r = sol.x[iv.index()].round();
-                            if r > hi {
-                                r = hi.floor();
-                            }
-                            if r < lo {
-                                r = lo.ceil();
-                            }
-                            (iv, r, r)
-                        })
-                        .collect();
-                    if let Some(h) = solve_node(&mut work, &fixes)? {
-                        let hobj = to_min(h.objective);
-                        if incumbent.as_ref().is_none_or(|(_, inc)| hobj < *inc) {
-                            incumbent = Some((h.x.clone(), hobj));
-                        }
-                    }
-                }
-                let floor = val.floor();
-                for (lo, hi) in [(work.bounds(v).0, floor), (floor + 1.0, work.bounds(v).1)] {
-                    if lo > hi {
-                        continue;
-                    }
-                    let mut fixes = entry.node.fixes.clone();
-                    // Tighten rather than duplicate an existing override.
-                    if let Some(f) = fixes.iter_mut().find(|f| f.0 == v) {
-                        f.1 = f.1.max(lo);
-                        f.2 = f.2.min(hi);
-                        if f.1 > f.2 {
-                            continue;
-                        }
+        let Some((v, val)) = branch else {
+            // Integer feasible (and better than the incumbent, or it would
+            // have been pruned above).
+            incumbent = Some((sol.x, obj_min));
+            continue;
+        };
+
+        // Rounding heuristic at shallow depths: fix all ints to the rounded
+        // relaxation values and test feasibility, warm from this node.
+        if node.depth <= 1 && incumbent.is_none() {
+            let fixes: Vec<(VarId, f64, f64)> = ints
+                .iter()
+                .map(|&iv| {
+                    let (lo, hi) = work.bounds(iv);
+                    let r = sol.x[iv.index()].round();
+                    let r = if r > hi {
+                        hi.floor()
+                    } else if r < lo {
+                        lo.ceil()
                     } else {
-                        fixes.push((v, lo, hi));
-                    }
-                    seq += 1;
-                    heap.push(HeapEntry {
-                        bound_min: obj_min,
-                        seq,
-                        node: Node { fixes },
-                    });
-                }
+                        r
+                    };
+                    (iv, r, r)
+                })
+                .collect();
+            let probe =
+                solve_relaxation(&mut work, &fixes, &simplex_opts, Some(&sol.basis), &mut on_relaxation)?;
+            if let Some((h, _)) = probe {
+                incumbent = Some((h.x, min_sign * h.objective));
             }
+        }
+
+        let basis = Rc::new(sol.basis);
+        let floor = val.floor();
+        let (vlo, vhi) = work.bounds(v);
+        for (lo, hi) in [(vlo, floor), (floor + 1.0, vhi)] {
+            if lo > hi {
+                continue;
+            }
+            let mut fixes = node.fixes.clone();
+            // Tighten rather than duplicate an existing override.
+            if let Some(f) = fixes.iter_mut().find(|f| f.0 == v) {
+                f.1 = f.1.max(lo);
+                f.2 = f.2.min(hi);
+                if f.1 > f.2 {
+                    continue;
+                }
+            } else {
+                fixes.push((v, lo, hi));
+            }
+            seq += 1;
+            heap.push(Node {
+                fixes,
+                depth: node.depth + 1,
+                bound_min: obj_min,
+                seq,
+                warm: Some(Rc::clone(&basis)),
+            });
         }
     }
 
-    // The remaining best bound is the min over the untouched heap and the
-    // incumbent.
-    let frontier_bound = heap
-        .iter()
-        .map(|e| e.bound_min)
-        .fold(f64::INFINITY, f64::min);
-    let proven_min = if heap.is_empty() {
-        incumbent.as_ref().map_or(best_bound_min, |(_, inc)| (*inc).min(best_bound_min.max(*inc)))
-    } else {
-        frontier_bound.min(incumbent.as_ref().map_or(f64::INFINITY, |(_, i)| *i))
-    };
+    flexile_obs::add("lp.mip.nodes", nodes as u64);
+    flexile_obs::add("lp.mip.cold_nodes", cold_nodes);
+    if capped {
+        flexile_obs::add("lp.mip.node_cap_hits", 1);
+    }
 
+    // The optimum lies in the incumbent or in an open subtree.
+    let frontier_min = heap.iter().map(|n| n.bound_min).fold(f64::INFINITY, f64::min);
     match incumbent {
         Some((x, obj_min)) => {
-            let gap = (obj_min - proven_min).abs();
+            let proven_min = frontier_min.min(obj_min);
+            let gap = obj_min - proven_min;
             let status = if heap.is_empty()
                 || gap <= opts.abs_gap
                 || gap <= opts.rel_gap * obj_min.abs().max(1.0)
@@ -305,27 +349,19 @@ pub fn solve_mip(model: &Model, opts: &MipOptions) -> Result<MipResult, LpError>
                 nodes,
             })
         }
-        None => {
-            let status = if heap.is_empty() && nodes < opts.max_nodes {
-                MipStatus::Infeasible
-            } else {
-                MipStatus::Unknown
-            };
-            Ok(MipResult {
-                status,
-                objective: f64::NAN,
-                bound: min_sign * proven_min,
-                x: Vec::new(),
-                nodes,
-            })
-        }
+        None => Ok(MipResult {
+            status: if heap.is_empty() { MipStatus::Infeasible } else { MipStatus::Unknown },
+            objective: f64::NAN,
+            bound: min_sign * frontier_min,
+            x: Vec::new(),
+            nodes,
+        }),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{Model, Sense};
 
     #[test]
     fn knapsack() {
@@ -390,6 +426,57 @@ mod tests {
         let r = solve_mip(&m, &MipOptions::default()).unwrap();
         assert_eq!(r.status, MipStatus::Optimal);
         assert!((r.objective - 2.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn warm_nodes_match_cold_resolves() {
+        // A two-row knapsack with continuous slack-like columns: deep enough
+        // to branch repeatedly, so most nodes restart from a parent basis.
+        let mut m = Model::new(Sense::Max);
+        let w = [7.0, 5.0, 9.0, 4.0, 6.0, 8.0, 3.0, 5.0, 6.0, 7.0];
+        let v = [11.0, 8.0, 13.0, 5.0, 9.0, 12.0, 4.0, 7.0, 10.0, 11.0];
+        let xs: Vec<VarId> =
+            (0..w.len()).map(|j| m.add_binary(&format!("x{j}"), v[j])).collect();
+        let y = m.add_var("y", 0.0, 3.0, 0.5);
+        let row: Vec<(VarId, f64)> = xs.iter().copied().zip(w).chain([(y, 1.0)]).collect();
+        m.add_row_le(&row, 31.0);
+        let row2: Vec<(VarId, f64)> = xs.iter().copied().zip(v.iter().rev().copied()).collect();
+        m.add_row_le(&row2, 45.0);
+
+        let cold_opts = SimplexOptions::default();
+        let mut warm_solves = 0;
+        let r = branch_and_bound(&m, &MipOptions::default(), |node, sol, kind| {
+            if kind == RestartKind::Cold {
+                return;
+            }
+            warm_solves += 1;
+            let cold = node.solve_with(&cold_opts, None).expect("cold re-solve");
+            assert!(
+                (sol.objective - cold.objective).abs() <= 1e-9,
+                "warm node objective {} vs cold {}",
+                sol.objective,
+                cold.objective
+            );
+        })
+        .unwrap();
+        assert_eq!(r.status, MipStatus::Optimal);
+        assert!(warm_solves >= 10, "only {warm_solves} warm node solves");
+    }
+
+    #[test]
+    fn node_cap_keeps_open_nodes_in_the_bound() {
+        let mut m = Model::new(Sense::Max);
+        let xs: Vec<VarId> = (0..8).map(|j| m.add_binary(&format!("x{j}"), 3.0 + j as f64)).collect();
+        let row: Vec<(VarId, f64)> = xs.iter().map(|&x| (x, 2.0 + x.index() as f64)).collect();
+        m.add_row_le(&row, 17.5);
+        let exact = solve_mip(&m, &MipOptions::default()).unwrap();
+        let capped = solve_mip(&m, &MipOptions { max_nodes: 2, ..MipOptions::default() }).unwrap();
+        assert_eq!(capped.nodes, 2);
+        // Truncation may lose the optimum but never its proof of a bound.
+        assert!(capped.bound >= exact.objective - 1e-9);
+        if capped.status == MipStatus::Feasible {
+            assert!(capped.objective <= exact.objective + 1e-9);
+        }
     }
 
     #[test]

@@ -1064,6 +1064,16 @@ pub fn solve(
     opts: &SimplexOptions,
     warm: Option<&Basis>,
 ) -> Result<Solution, LpError> {
+    solve_kind(model, opts, warm).map(|(sol, _)| sol)
+}
+
+/// [`solve`], also reporting how the warm basis was used: branch and
+/// bound counts the nodes whose parent basis was rejected.
+pub(crate) fn solve_kind(
+    model: &Model,
+    opts: &SimplexOptions,
+    warm: Option<&Basis>,
+) -> Result<(Solution, RestartKind), LpError> {
     match solve_attempt(model, opts, warm, opts.refactor_every.unwrap_or(REFACTOR_EVERY)) {
         Err(LpError::Numerical(_)) => {
             // Retry on the conservative rule set: Dantzig pricing (no weight
@@ -1086,6 +1096,7 @@ pub(crate) fn solve_single(
     warm: Option<&Basis>,
 ) -> Result<Solution, LpError> {
     solve_attempt(model, opts, warm, opts.refactor_every.unwrap_or(REFACTOR_EVERY))
+        .map(|(sol, _)| sol)
 }
 
 /// Solve a model whose only change since `warm` was captured is the RHS
@@ -1404,7 +1415,7 @@ fn solve_attempt(
     opts: &SimplexOptions,
     warm: Option<&Basis>,
     refactor_every: usize,
-) -> Result<Solution, LpError> {
+) -> Result<(Solution, RestartKind), LpError> {
     // Presolve hook: cold solves only (a warm basis addresses the full
     // column space) and never on the Bland-safe path, which must run the
     // textbook algorithm unmodified. Exactly one fault-injection poll
@@ -1414,12 +1425,11 @@ fn solve_attempt(
     // `solve_attempt_traced` below.
     if opts.presolve && warm.is_none() && !opts.force_bland {
         if let Some(sol) = crate::presolve::try_solve_presolved(model, opts, refactor_every)? {
-            return Ok(sol);
+            return Ok((sol, RestartKind::Cold));
         }
     }
     let mut scratch = SolveScratch::new();
     solve_attempt_traced(model, opts, warm, refactor_every, false, &mut scratch, true)
-        .map(|(sol, _)| sol)
 }
 
 /// Solve an already-presolved model directly, bypassing the presolve hook

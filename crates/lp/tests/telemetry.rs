@@ -100,3 +100,56 @@ fn warm_restart_hit_and_rung_events_are_recorded() {
     assert_eq!(rungs[0].field("ok"), Some(&flexile_obs::Value::Bool(true)));
     assert!(rungs[0].num_field("iterations").unwrap_or(0.0) > 0.0);
 }
+
+/// A branching knapsack with one binary fixed to 1 and one continuous
+/// column fixed at 2: the cold root relaxation has fixed columns for the
+/// presolve to eliminate.
+fn fixed_column_knapsack() -> Model {
+    let mut m = Model::new(Sense::Max);
+    let w = [5.0, 4.0, 3.0, 6.0, 7.0, 2.0];
+    let v = [9.0, 7.0, 4.0, 10.0, 12.0, 3.0];
+    let xs: Vec<_> = (0..w.len()).map(|j| m.add_binary(&format!("x{j}"), v[j])).collect();
+    m.set_bounds(xs[5], 1.0, 1.0);
+    let y = m.add_var("y", 2.0, 2.0, 1.0);
+    let row: Vec<_> = xs.iter().copied().zip(w).chain([(y, 1.0)]).collect();
+    m.add_row_le(&row, 16.5);
+    m
+}
+
+#[test]
+fn mip_root_presolves_and_children_warm_start() {
+    let _g = exclusive();
+    let m = fixed_column_knapsack();
+    let plain = flexile_lp::solve_mip(&m, &flexile_lp::MipOptions::default()).expect("mip");
+
+    flexile_obs::enable();
+    let r = flexile_lp::solve_mip(&m, &flexile_lp::MipOptions::default()).expect("mip");
+    flexile_obs::disable();
+    let t = flexile_obs::drain();
+    let counter = |name: &str| t.counters.get(name).copied().unwrap_or(0);
+
+    assert_eq!(plain.x, r.x, "telemetry must stay observational");
+    assert!(r.nodes > 1, "the fixture must branch");
+    assert!(counter("lp.presolve_removed_cols") >= 2, "root presolve: {t:?}");
+    assert_eq!(counter("lp.mip.nodes"), r.nodes as u64);
+    assert_eq!(counter("lp.mip.cold_nodes"), 0);
+    assert_eq!(counter("lp.mip.node_cap_hits"), 0);
+    // Every node but the root restarts from its parent's basis: the branched
+    // variable was basic, so its new bound needs a dual-simplex repair
+    // (which may also prove the node infeasible, counting no hit).
+    assert!(counter("lp.dual_restarts") >= r.nodes as u64 - 1, "{:?}", t.counters);
+    assert!(counter("lp.warm.hit") > 0, "{:?}", t.counters);
+}
+
+#[test]
+fn mip_node_cap_hit_is_counted() {
+    let _g = exclusive();
+    let m = fixed_column_knapsack();
+    let opts = flexile_lp::MipOptions { max_nodes: 1, ..flexile_lp::MipOptions::default() };
+    flexile_obs::enable();
+    let r = flexile_lp::solve_mip(&m, &opts).expect("mip");
+    flexile_obs::disable();
+    let t = flexile_obs::drain();
+    assert_eq!(r.nodes, 1);
+    assert_eq!(t.counters.get("lp.mip.node_cap_hits").copied(), Some(1));
+}

@@ -1,21 +1,19 @@
-//! `warm_restart` — scenario-solve pool policy benchmark.
+//! `warm_restart` — scenario-solve pool basis-reuse benchmark.
 //!
-//! Runs the full Flexile decomposition on Table-2 topologies under the
-//! three subproblem-scheduling policies:
+//! Runs the full Flexile decomposition on Table-2 topologies under two
+//! basis-reuse policies of the scenario pool:
 //!
 //! * `cold` — every subproblem solved from scratch every iteration
-//!   (basis-residency budget 0);
-//! * `legacy_striped` — the pre-pool behaviour: per-iteration thread
-//!   fan-out with one warm template per *stripe*, so a scenario's basis is
-//!   reused only while it happens to stay on the same stripe;
-//! * `per_scenario` — the persistent pool: one long-lived template per
+//!   (`basis_residency: 0`);
+//! * `per_scenario` — the default pool: one long-lived template per
 //!   scenario, dual-simplex RHS restarts across iterations, work-stealing
 //!   dispatch.
 //!
 //! Each policy runs at 1 thread and at `cfg.threads`, reporting decomposition
 //! iterations, **total subproblem simplex iterations** (the quantity warm
 //! restarts reduce), warm-hit/dual-restart counts, wall time and the final
-//! penalty — which must be identical across policies and thread counts.
+//! penalty — which must be bit-equal across thread counts and equal (to
+//! 1e-6) across policies.
 //!
 //! The instances pin an explicit β = 0.99 *below* the max-feasible target
 //! and run hot (per-topology MLU ≈ 1): with the auto-derived β the starting
@@ -26,7 +24,7 @@
 //! `"policies"` array in `BENCH_warm_restart.json`.
 
 use crate::{single_class_setup, ExpConfig};
-use flexile_core::{solve_flexile, FlexileDesign, FlexileOptions, PoolPolicy};
+use flexile_core::{solve_flexile, FlexileDesign, FlexileOptions};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -54,21 +52,22 @@ pub fn take_policy_records() -> Vec<String> {
     std::mem::take(&mut *POLICY_RECORDS.lock().unwrap_or_else(|e| e.into_inner()))
 }
 
-fn policy_label(p: PoolPolicy) -> &'static str {
-    match p {
-        PoolPolicy::Cold => "cold",
-        PoolPolicy::LegacyStriped => "legacy_striped",
-        PoolPolicy::PerScenario => "per_scenario",
-    }
-}
+/// The compared policies: a label and the pool's basis-residency budget
+/// (`None` keeps the library default).
+const POLICIES: [(&str, Option<usize>); 2] = [("cold", Some(0)), ("per_scenario", None)];
 
 /// One decomposition run; prints the CSV row and stashes the JSON record.
-fn run_one(name: &str, inst: &flexile_traffic::Instance, set: &flexile_scenario::ScenarioSet, policy: PoolPolicy, threads: usize) -> FlexileDesign {
+fn run_one(name: &str, inst: &flexile_traffic::Instance, set: &flexile_scenario::ScenarioSet, label: &str, residency: Option<usize>, threads: usize) -> FlexileDesign {
     // A deeper iteration budget than the library default: the experiment
     // measures cross-iteration basis reuse, so runs should converge rather
     // than stop at the default cap.
-    let opts =
-        FlexileOptions { threads, pool: policy, max_iterations: 12, ..Default::default() };
+    let defaults = FlexileOptions::default();
+    let opts = FlexileOptions {
+        threads,
+        max_iterations: 12,
+        basis_residency: residency.unwrap_or(defaults.basis_residency),
+        ..defaults
+    };
     let t0 = Instant::now();
     let design = solve_flexile(inst, set, &opts);
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -76,7 +75,6 @@ fn run_one(name: &str, inst: &flexile_traffic::Instance, set: &flexile_scenario:
     let lp_iters: usize = design.iterations.iter().map(|s| s.lp_iterations).sum();
     let warm_hits: usize = design.iterations.iter().map(|s| s.warm_hits).sum();
     let dual_restarts: usize = design.iterations.iter().map(|s| s.dual_restarts).sum();
-    let label = policy_label(policy);
     println!(
         "run,{name},{label},{threads},{iters},{lp_iters},{warm_hits},{dual_restarts},\
          {wall_ms:.3},{:.9}",
@@ -101,7 +99,6 @@ fn run_one(name: &str, inst: &flexile_traffic::Instance, set: &flexile_scenario:
 pub fn run_warm_restart(cfg: &ExpConfig, limit: usize) {
     take_policy_records(); // reset any stale records from a prior experiment
     println!("section,topology,policy,threads,iterations,lp_iters,warm_hits,dual_restarts,wall_ms,penalty");
-    let policies = [PoolPolicy::Cold, PoolPolicy::LegacyStriped, PoolPolicy::PerScenario];
     for &(name, mlu) in TOPOLOGIES.iter().take(limit.max(1)) {
         let sub_cfg = ExpConfig {
             target_mlu: mlu,
@@ -116,20 +113,32 @@ pub fn run_warm_restart(cfg: &ExpConfig, limit: usize) {
             set.scenarios.len()
         ));
         let mut reference: Option<f64> = None;
-        for &policy in &policies {
+        for &(label, residency) in &POLICIES {
             let mut threads = vec![1];
             if cfg.threads > 1 {
                 threads.push(cfg.threads);
             }
+            let mut at_one_thread: Option<f64> = None;
             for t in threads {
-                let design = run_one(name, &inst, &set, policy, t);
+                let design = run_one(name, &inst, &set, label, residency, t);
+                // A policy's output never depends on the thread count.
+                match at_one_thread {
+                    None => at_one_thread = Some(design.penalty),
+                    Some(p) => assert_eq!(
+                        p.to_bits(),
+                        design.penalty.to_bits(),
+                        "{name}/{label}@{t}: penalty differs from the 1-thread run: \
+                         {p} vs {}",
+                        design.penalty
+                    ),
+                }
                 // All policies must land on the same optimum (alternate
                 // pivot paths allow different bases, not different values).
                 match reference {
                     None => reference = Some(design.penalty),
                     Some(r) => assert!(
                         (r - design.penalty).abs() <= 1e-6,
-                        "{name}/{policy:?}@{t}: penalty diverged across policies: \
+                        "{name}/{label}@{t}: penalty diverged across policies: \
                          {r} vs {}",
                         design.penalty
                     ),

@@ -20,8 +20,8 @@
 //!   iteration `k`'s basis of the *same* scenario (the shared dual space /
 //!   warm-start trick of the reformulated `S_q`, finally applied across
 //!   iterations), with a work-stealing scheduler and a bounded
-//!   basis-residency budget. [`PoolPolicy`] selects the legacy per-thread
-//!   striping or a cold-every-iteration baseline for A/B comparison.
+//!   basis-residency budget. A residency of 0 is the cold-every-iteration
+//!   baseline for A/B comparison.
 //!
 //! Each iteration yields a full routing, so an *incumbent* penalty is
 //! evaluated exactly (sort per-flow losses, take β quantiles); the best
@@ -40,7 +40,7 @@
 
 use crate::checkpoint::{self, BestIncumbent, CheckpointError, CheckpointState};
 use crate::master::{solve_master, CutPool, MasterOptions};
-use crate::pool::{with_pool, IterationSolver, LegacyStriped, PoolCtx, PoolError, PoolSnapshot};
+use crate::pool::{with_pool, IterationSolver, PoolCtx, PoolError, PoolSnapshot};
 use crate::subproblem::{SubproblemSolution, SubproblemTemplate};
 use flexile_metrics::{perc_loss, LossMatrix};
 use flexile_scenario::ScenarioSet;
@@ -48,10 +48,8 @@ use flexile_traffic::Instance;
 use std::path::PathBuf;
 use std::time::Duration;
 
-pub use crate::pool::PoolPolicy;
-
 /// Alias emphasizing that these options configure the offline decomposition
-/// (scheduling policy, residency budget, master knobs).
+/// (residency budget, master knobs).
 pub type DecompositionOptions = FlexileOptions;
 
 /// Options for the offline decomposition.
@@ -70,12 +68,11 @@ pub struct FlexileOptions {
     /// Enable perfect-scenario / unchanged-criticality pruning (§4.2).
     /// Disabled only by the ablation benchmarks.
     pub prune: bool,
-    /// Subproblem scheduling / basis-reuse policy (see [`PoolPolicy`]).
-    pub pool: PoolPolicy,
     /// Maximum scenario templates (and their warm bases) kept resident
-    /// between iterations under [`PoolPolicy::PerScenario`]; LRU beyond
-    /// this. Deliberately generous: a template is small next to the
-    /// scenario set itself.
+    /// between iterations; LRU beyond this. Deliberately generous: a
+    /// template is small next to the scenario set itself. `0` rebuilds and
+    /// solves every scenario cold in every iteration (the no-reuse
+    /// baseline).
     pub basis_residency: usize,
     /// Watchdog deadline for each subproblem's warm fast path: a warm
     /// restart that exceeds it is abandoned, its basis quarantined, and the
@@ -84,14 +81,6 @@ pub struct FlexileOptions {
     /// and preserves exact bit-reproducibility; with it armed, outcomes can
     /// depend on wall clock.
     pub watchdog: Option<Duration>,
-    /// Maximum scenarios per shared-factorization batch unit under
-    /// [`PoolPolicy::PerScenario`]: consecutive warm same-demand-factor
-    /// scenarios are dispatched together and dual-restarted through one
-    /// factorization ([`flexile_lp::solve_rhs_batch`]), with per-member
-    /// fallback to the scalar path on divergence. `0` or `1` disables
-    /// batching. Any width produces bit-identical results — the knob
-    /// trades factorization reuse against scheduling granularity.
-    pub batch_width: usize,
     /// Directory to write crash-recovery checkpoints into (as
     /// `flexile.ckpt`); `None` (default) disables checkpointing. The
     /// zero-fault trajectory is unaffected either way — checkpointing only
@@ -111,10 +100,8 @@ impl Default for FlexileOptions {
             master: MasterOptions::default(),
             gamma: None,
             prune: true,
-            pool: PoolPolicy::default(),
             basis_residency: 4096,
             watchdog: None,
-            batch_width: 16,
             checkpoint_dir: None,
             checkpoint_every: 1,
         }
@@ -164,6 +151,10 @@ pub struct FlexileDesign {
 /// (residual mass counts as loss 1, like all post-analysis). Used to put
 /// the IP baseline and the decomposition on the same measuring stick in
 /// the Fig. 14 experiment.
+///
+/// Every scenario is solved cold: a template is reused across scenarios
+/// of one demand factor only for its model, never for its basis, since a
+/// warm restart from a *different* scenario's basis can stall for minutes.
 pub fn evaluate_criticality(
     inst: &Instance,
     set: &ScenarioSet,
@@ -180,11 +171,13 @@ pub fn evaluate_criticality(
         if rebuild {
             tmpl = Some(SubproblemTemplate::for_demand_factor(inst, None, scen.demand_factor));
         }
+        let tmpl = tmpl.as_mut().expect("template built");
+        tmpl.clear_warm_basis();
         let zq: Vec<bool> = (0..nf).map(|f| critical[f][q]).collect();
         // A scenario whose LP fails terminally keeps its pessimistic
         // initialization (loss 1 everywhere) instead of aborting the
         // whole evaluation.
-        if let Ok(sol) = tmpl.as_mut().expect("template built").solve(inst, scen, &zq) {
+        if let Ok(sol) = tmpl.solve(inst, scen, &zq) {
             for f in 0..nf {
                 loss[f][q] = sol.loss[f];
             }
@@ -305,7 +298,7 @@ pub fn decompose_resume(
     Ok(design)
 }
 
-/// Route a (fresh or restored) state through the configured scheduler.
+/// Route a (fresh or restored) state through the scenario pool.
 fn dispatch(
     inst: &Instance,
     set: &ScenarioSet,
@@ -319,26 +312,13 @@ fn dispatch(
         set,
         loss_ub: prep.loss_ub.as_deref(),
         watchdog: opts.watchdog,
-        batch_width: opts.batch_width,
     };
-    match opts.pool {
-        PoolPolicy::LegacyStriped => {
-            let mut solver = LegacyStriped { ctx, threads: opts.threads };
-            if let Some((it, snap)) = &restore {
-                solver.restore(*it, snap);
-            }
-            run_decomposition(inst, set, opts, &prep.betas, &prep.allowed, &mut solver, state)
+    with_pool(ctx, opts.threads.max(1), opts.basis_residency, |solver| {
+        if let Some((it, snap)) = &restore {
+            solver.restore(*it, snap);
         }
-        PoolPolicy::PerScenario | PoolPolicy::Cold => {
-            let residency = if opts.pool == PoolPolicy::Cold { 0 } else { opts.basis_residency };
-            with_pool(ctx, opts.threads.max(1), residency, |solver| {
-                if let Some((it, snap)) = &restore {
-                    solver.restore(*it, snap);
-                }
-                run_decomposition(inst, set, opts, &prep.betas, &prep.allowed, solver, state)
-            })
-        }
-    }
+        run_decomposition(inst, set, opts, &prep.betas, &prep.allowed, solver, state)
+    })
 }
 
 /// Best incumbent: (penalty, criticality, loss matrix, per-class alpha).

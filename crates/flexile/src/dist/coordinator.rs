@@ -41,7 +41,7 @@ use super::worker::{CHAOS_ENV, CONNECT_ENV, SLOT_ENV};
 use super::DistError;
 use crate::checkpoint::{self, CheckpointError};
 use crate::decomposition::{
-    self, design_from_state, run_decomposition, BendersState, FlexileOptions, PoolPolicy,
+    self, design_from_state, run_decomposition, BendersState, FlexileOptions,
 };
 use crate::pool::{
     lock_recover, solve_contained, IterationSolver, PoolCtx, PoolError, PoolSnapshot, ScenResult,
@@ -182,7 +182,6 @@ fn run_dist(
         set,
         loss_ub: prep.loss_ub.as_deref(),
         watchdog: opts.watchdog,
-        batch_width: opts.batch_width,
     };
     let hello = Hello {
         problem_parts: checkpoint::problem_fingerprint_parts(inst, set),
@@ -198,19 +197,12 @@ fn run_dist(
             gamma: opts.gamma,
             hamming_limit: opts.master.hamming_limit as u64,
             exact_threshold: opts.master.exact_threshold as u64,
-            pool: match opts.pool {
-                PoolPolicy::PerScenario => 0,
-                PoolPolicy::LegacyStriped => 1,
-                PoolPolicy::Cold => 2,
-            },
             basis_residency: opts.basis_residency as u64,
-            batch_width: opts.batch_width as u64,
             watchdog_millis: opts.watchdog.map(|d| d.as_millis() as u64),
             heartbeat_millis: dopts.heartbeat.as_millis().max(1) as u64,
         },
     };
-    let residency = if opts.pool == PoolPolicy::Cold { 0 } else { opts.basis_residency };
-    let mut solver = DistSolver::new(ctx, &hello, dopts, residency)?;
+    let mut solver = DistSolver::new(ctx, &hello, dopts, opts.basis_residency)?;
     if let Some((it, snap)) = &restore {
         solver.restore(*it, snap);
     }

@@ -29,8 +29,9 @@ use std::io::{Read, Write};
 
 /// Current frame-format version. Handshakes and every subsequent frame are
 /// rejected across versions (a coordinator never talks to a worker built
-/// from a different wire format).
-pub const FRAME_VERSION: u32 = 1;
+/// from a different wire format). Version 2 dropped the pool-policy and
+/// batch-width knobs.
+pub const FRAME_VERSION: u32 = 2;
 
 const MAGIC: &[u8; 8] = b"FLXFRME\0";
 
@@ -86,13 +87,8 @@ pub struct WireKnobs {
     pub hamming_limit: u64,
     /// `MasterOptions::exact_threshold`.
     pub exact_threshold: u64,
-    /// `FlexileOptions::pool` as its fingerprint tag (0 = per-scenario,
-    /// 1 = legacy striped, 2 = cold).
-    pub pool: u64,
     /// `FlexileOptions::basis_residency`.
     pub basis_residency: u64,
-    /// `FlexileOptions::batch_width`.
-    pub batch_width: u64,
     /// Subproblem watchdog deadline in milliseconds (`None` preserves
     /// bit-reproducibility, exactly as in-process).
     pub watchdog_millis: Option<u64>,
@@ -321,9 +317,7 @@ fn enc_knobs(e: &mut Enc, k: &WireKnobs) {
     e.opt(&k.gamma, |e, &g| e.f64(g));
     e.u64(k.hamming_limit);
     e.u64(k.exact_threshold);
-    e.u64(k.pool);
     e.u64(k.basis_residency);
-    e.u64(k.batch_width);
     e.opt(&k.watchdog_millis, |e, &w| e.u64(w));
     e.u64(k.heartbeat_millis);
 }
@@ -595,9 +589,7 @@ fn dec_knobs(d: &mut Dec<'_>) -> Result<WireKnobs, CheckpointError> {
         gamma: d.opt(|d| d.f64())?,
         hamming_limit: d.u64()?,
         exact_threshold: d.u64()?,
-        pool: d.u64()?,
         basis_residency: d.u64()?,
-        batch_width: d.u64()?,
         watchdog_millis: d.opt(|d| d.u64())?,
         heartbeat_millis: d.u64()?,
     })

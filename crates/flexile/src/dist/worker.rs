@@ -29,7 +29,7 @@ use super::frame::{
 use super::retry::RetryPolicy;
 use super::DistError;
 use crate::checkpoint::{self, CheckpointError};
-use crate::decomposition::{FlexileOptions, PoolPolicy};
+use crate::decomposition::FlexileOptions;
 use crate::killpoints;
 use crate::master::MasterOptions;
 use crate::pool::{lock_recover, solve_contained, PoolCtx, PoolError, Slot};
@@ -56,12 +56,6 @@ pub const CHAOS_ENV: &str = "FLEXILE_DIST_CHAOS";
 /// rejection path, unit-tested in both directions in `tests/dist.rs`).
 pub fn verify_hello(h: &Hello) -> Result<FlexileOptions, CheckpointError> {
     let k = &h.knobs;
-    let pool = match k.pool {
-        0 => PoolPolicy::PerScenario,
-        1 => PoolPolicy::LegacyStriped,
-        2 => PoolPolicy::Cold,
-        _ => return Err(CheckpointError::Malformed("pool policy tag")),
-    };
     let opts = FlexileOptions {
         max_iterations: k.max_iterations as usize,
         threads: 1,
@@ -72,10 +66,8 @@ pub fn verify_hello(h: &Hello) -> Result<FlexileOptions, CheckpointError> {
         },
         gamma: k.gamma,
         prune: k.prune,
-        pool,
         basis_residency: k.basis_residency as usize,
         watchdog: None,
-        batch_width: k.batch_width as usize,
         checkpoint_dir: None,
         checkpoint_every: 1,
     };
@@ -202,7 +194,6 @@ fn serve(
         set: &problem.set,
         loss_ub: problem.loss_ub.as_deref(),
         watchdog: hello.knobs.watchdog_millis.map(Duration::from_millis),
-        batch_width: hello.knobs.batch_width as usize,
     };
     let slots: Vec<Mutex<Slot>> = (0..nq).map(|_| Mutex::new(Slot::default())).collect();
     let mut scratch = SolveScratch::new();

@@ -53,7 +53,7 @@ pub mod subproblem;
 pub use checkpoint::{CheckpointError, CHECKPOINT_VERSION};
 pub use decomposition::{
     decompose_resume, solve_flexile, DecompositionOptions, FlexileDesign, FlexileOptions,
-    IterationStat, PoolPolicy,
+    IterationStat,
 };
 pub use dist::{
     decompose_resume_dist, solve_flexile_dist, worker_entry, DistError, DistOptions, WorkerSpec,

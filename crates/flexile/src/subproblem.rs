@@ -323,10 +323,8 @@ impl SubproblemTemplate {
     }
 
     /// Continue a warm fast-path outcome (`Some`) or a cold start (`None`)
-    /// through the escalation ladder. This is the single authority on the
-    /// retry taxonomy — the scalar path and every batch member's
-    /// commit/fallback go through it, which is what keeps the batched pool
-    /// bit- and counter-identical to the scalar one.
+    /// through the escalation ladder: the single authority on the retry
+    /// taxonomy.
     fn resolve_outcome(
         &mut self,
         first: Option<Result<(Solution, RestartKind), LpError>>,
@@ -376,7 +374,7 @@ impl SubproblemTemplate {
     }
 
     /// Save the warm basis and extract the cut — the tail every successful
-    /// solve (scalar or batch member) runs.
+    /// solve runs.
     fn commit(
         &mut self,
         sol: Solution,
@@ -417,61 +415,6 @@ impl SubproblemTemplate {
         }
     }
 
-    /// Prepare this template as a batch member: install the scenario's RHS
-    /// into the template's **own** model — so a divergence fallback or
-    /// ladder rung sees exactly the state the scalar path would — and
-    /// return the full RHS vector (handed to
-    /// [`flexile_lp::solve_rhs_batch`]) plus the scaled per-arc capacities
-    /// for cut extraction at commit time.
-    pub(crate) fn batch_rhs(
-        &mut self,
-        inst: &Instance,
-        scen: &Scenario,
-        z: &[bool],
-    ) -> (Vec<f64>, Vec<f64>) {
-        self.check_scenario(scen, z);
-        let cap_arc = self.install_rhs(inst, scen, z);
-        (self.model.rhs_values().to_vec(), cap_arc)
-    }
-
-    /// The saved warm basis, cloned. Batch dispatch snapshots member warms
-    /// up front so the shared solve borrows no template.
-    pub(crate) fn warm_basis(&self) -> Option<Basis> {
-        self.warm.clone()
-    }
-
-    /// The simplex options of the (watchdog-free) warm fast path. The
-    /// batch kernel must run under exactly the options the scalar restart
-    /// would, or the solves stop being comparable bit-for-bit.
-    pub(crate) fn warm_simplex_options() -> flexile_lp::SimplexOptions {
-        Self::robust_opts().budget.simplex_options()
-    }
-
-    /// The template's model, used as the shared execution engine when this
-    /// template leads a batch. Templates of a batch are built by identical
-    /// code on identical inputs, so any member's model produces bit-equal
-    /// factorizations; the batch entry restores the model's RHS on return.
-    pub(crate) fn model_mut(&mut self) -> &mut Model {
-        &mut self.model
-    }
-
-    /// Commit one member's outcome from a shared batch solve, reproducing
-    /// the scalar path bit-for-bit: an `Ok` lands exactly like a scalar
-    /// warm hit, an error continues through the same escalation ladder on
-    /// this member's own model (whose RHS [`Self::batch_rhs`] installed).
-    /// Batch dispatch requires the watchdog disabled, so no watchdog arm
-    /// applies here.
-    pub(crate) fn commit_batch_outcome(
-        &mut self,
-        outcome: Result<(Solution, RestartKind), LpError>,
-        z: &[bool],
-        cap_arc: &[f64],
-    ) -> Result<(SubproblemSolution, SolveStats), LpError> {
-        let rb = Self::robust_opts();
-        let (sol, stats) = self.resolve_outcome(Some(outcome), None, &rb)?;
-        Ok(self.commit(sol, stats, z, cap_arc))
-    }
-
     /// The per-flow loss upper bounds in effect (γ variant).
     pub fn loss_bounds(&self) -> &[f64] {
         &self.loss_ub
@@ -485,8 +428,9 @@ impl SubproblemTemplate {
         self.warm.as_ref().map(|b| b.fingerprint())
     }
 
-    /// Drop the saved warm basis: the next solve starts cold. Used by the
-    /// pool when quarantining a template after a contained panic.
+    /// Drop the saved warm basis: the next solve starts cold. Used by
+    /// [`crate::evaluate_criticality`] to solve every scenario cold on one
+    /// template.
     pub fn clear_warm_basis(&mut self) {
         self.warm = None;
     }

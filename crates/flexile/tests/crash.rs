@@ -23,7 +23,7 @@
 use flexile_core::checkpoint::{checkpoint_path, read_checkpoint};
 use flexile_core::{
     decompose_resume, solve_flexile, CheckpointError, DecompositionAborted, FlexileDesign,
-    FlexileOptions, KillPoint, PoolPolicy, MAX_PANIC_RETRIES,
+    FlexileOptions, KillPoint, MAX_PANIC_RETRIES,
 };
 use flexile_scenario::{enumerate_scenarios, model::link_units, EnumOptions, ScenarioSet};
 use flexile_topo::{NodeId, Topology, TunnelClass, TunnelSet};
@@ -437,7 +437,7 @@ fn zero_watchdog_degrades_to_cold_policy_bitwise() {
     let cold = solve_flexile(
         &inst,
         &set,
-        &FlexileOptions { max_iterations: 3, pool: PoolPolicy::Cold, ..Default::default() },
+        &FlexileOptions { max_iterations: 3, basis_residency: 0, ..Default::default() },
     );
     let watchdog_opts = FlexileOptions {
         max_iterations: 3,
@@ -449,9 +449,10 @@ fn zero_watchdog_degrades_to_cold_policy_bitwise() {
     flexile_obs::disable();
     let t = flexile_obs::drain();
     // An already-expired deadline fails every warm restart up front, so
-    // each solve cold-restarts through the ladder — exactly what the Cold
-    // policy does — and the deadline never interferes with the cold path.
-    assert_eq!(design_bits(&d), design_bits(&cold), "watchdog-always vs Cold policy");
+    // each solve cold-restarts through the ladder — exactly what a zero
+    // basis residency does — and the deadline never interferes with the
+    // cold path.
+    assert_eq!(design_bits(&d), design_bits(&cold), "watchdog-always vs basis_residency 0");
     let restarts = t.counters.get("flexile.watchdog_restart").copied().unwrap_or(0);
     assert!(restarts > 0, "warm attempts must have tripped the watchdog");
 }

@@ -13,8 +13,7 @@
 //!   mid-wave, falls back to in-process solving and still converges to
 //!   the same bits (`flexile.dist_fallback`).
 //! * **Resume + handshake hygiene** — `decompose_resume_dist` continues a
-//!   checkpoint bit-identically; a changed `batch_width` / pool policy is
-//!   refused by both resume engines and by the worker handshake with a
+//!   checkpoint bit-identically; a changed basis residency is refused by both resume engines and by the worker handshake with a
 //!   typed error naming the component, in both directions.
 //!
 //! Workers are this test binary re-exec'd with `--exact dist_worker_main`
@@ -28,7 +27,7 @@ use flexile_core::killpoints::{arm, to_env};
 use flexile_core::{
     decompose_resume, decompose_resume_dist, solve_flexile, solve_flexile_dist, CheckpointError,
     DecompositionAborted, DistError, DistOptions, FlexileDesign, FlexileOptions, KillPoint,
-    PoolPolicy, WorkerSpec, ANY_SCENARIO,
+    WorkerSpec, ANY_SCENARIO,
 };
 use flexile_scenario::{enumerate_scenarios, model::link_units, EnumOptions, ScenarioSet};
 use flexile_topo::{NodeId, Topology, TunnelClass, TunnelSet};
@@ -331,30 +330,19 @@ fn both_resume_engines_refuse_pool_config_drift() {
     };
     abort_at(&inst, &set, &base, 2);
 
-    let wider = FlexileOptions { batch_width: base.batch_width + 1, ..base.clone() };
-    let colder = FlexileOptions { pool: PoolPolicy::Cold, ..base.clone() };
+    let colder = FlexileOptions { basis_residency: 0, ..base.clone() };
 
     // In-process resume names the diverging pool-config component...
     assert!(matches!(
-        decompose_resume(&inst, &set, &wider),
-        Err(CheckpointError::PoolConfigMismatch { component: "batch_width" })
-    ));
-    assert!(matches!(
         decompose_resume(&inst, &set, &colder),
-        Err(CheckpointError::PoolConfigMismatch { component: "pool_policy" })
+        Err(CheckpointError::PoolConfigMismatch { component: "basis_residency" })
     ));
     // ...and the distributed engine surfaces the identical typed error.
     let dopts = DistOptions::new(1, worker_spec());
     assert!(matches!(
-        decompose_resume_dist(&inst, &set, &wider, &dopts),
-        Err(DistError::Checkpoint(CheckpointError::PoolConfigMismatch {
-            component: "batch_width"
-        }))
-    ));
-    assert!(matches!(
         decompose_resume_dist(&inst, &set, &colder, &dopts),
         Err(DistError::Checkpoint(CheckpointError::PoolConfigMismatch {
-            component: "pool_policy"
+            component: "basis_residency"
         }))
     ));
     let _ = std::fs::remove_dir_all(&dir);
@@ -376,13 +364,7 @@ fn hello_for(inst: &Instance, set: &ScenarioSet, opts: &FlexileOptions) -> Hello
             gamma: opts.gamma,
             hamming_limit: opts.master.hamming_limit as u64,
             exact_threshold: opts.master.exact_threshold as u64,
-            pool: match opts.pool {
-                PoolPolicy::PerScenario => 0,
-                PoolPolicy::LegacyStriped => 1,
-                PoolPolicy::Cold => 2,
-            },
             basis_residency: opts.basis_residency as u64,
-            batch_width: opts.batch_width as u64,
             watchdog_millis: None,
             heartbeat_millis: 100,
         },
@@ -399,31 +381,19 @@ fn handshake_rejects_knob_drift_in_both_directions() {
     // Direction 1: the shipped knobs drift from the declared fingerprint
     // (a worker built against different pool configuration).
     let mut h = good.clone();
-    h.knobs.batch_width += 1;
+    h.knobs.basis_residency = 0; // cold, while the fingerprint says warm
     assert!(matches!(
         verify_hello(&h),
-        Err(CheckpointError::PoolConfigMismatch { component: "batch_width" })
-    ));
-    let mut h = good.clone();
-    h.knobs.pool = 2; // Cold, while the fingerprint says PerScenario
-    assert!(matches!(
-        verify_hello(&h),
-        Err(CheckpointError::PoolConfigMismatch { component: "pool_policy" })
+        Err(CheckpointError::PoolConfigMismatch { component: "basis_residency" })
     ));
 
     // Direction 2: the declared fingerprint is stale while the knobs are
     // honest (a coordinator advertising options it is not running).
     let mut h = good.clone();
-    h.options_parts[3] ^= 1; // batch_width component
+    h.options_parts[2] ^= 1; // basis_residency component
     assert!(matches!(
         verify_hello(&h),
-        Err(CheckpointError::PoolConfigMismatch { component: "batch_width" })
-    ));
-    let mut h = good.clone();
-    h.options_parts[2] ^= 1; // pool_policy component
-    assert!(matches!(
-        verify_hello(&h),
-        Err(CheckpointError::PoolConfigMismatch { component: "pool_policy" })
+        Err(CheckpointError::PoolConfigMismatch { component: "basis_residency" })
     ));
     let mut h = good.clone();
     h.problem_parts[0] ^= 1; // structural shape
@@ -431,9 +401,4 @@ fn handshake_rejects_knob_drift_in_both_directions() {
         verify_hello(&h),
         Err(CheckpointError::ProblemMismatch { component: "shape" })
     ));
-
-    // An unknown pool tag is malformed, not silently defaulted.
-    let mut h = good.clone();
-    h.knobs.pool = 7;
-    assert!(matches!(verify_hello(&h), Err(CheckpointError::Malformed("pool policy tag"))));
 }

@@ -127,16 +127,14 @@ fn arb_frame(seed: u64, tag: u64) -> Frame {
                     gamma: if m.bool() { Some(m.f64()) } else { None },
                     hamming_limit: m.u64() % 1000,
                     exact_threshold: m.u64() % 1000,
-                    pool: m.u64() % 3,
                     basis_residency: m.u64() % 4096,
-                    batch_width: 1 + m.u64() % 64,
                     watchdog_millis: if m.bool() { Some(m.u64() % 10_000) } else { None },
                     heartbeat_millis: 1 + m.u64() % 1000,
                 },
             }))
         }
         2 => Frame::HelloAck,
-        3 => Frame::HelloReject { component: "batch_width".into() },
+        3 => Frame::HelloReject { component: "basis_residency".into() },
         4 => Frame::Assign {
             epoch: m.u64(),
             iteration: m.u64() % 100,

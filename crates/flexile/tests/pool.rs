@@ -8,6 +8,8 @@
 //!   every warm-restarted subproblem solve agrees with a cold solve of the
 //!   same LP to ≤ 1e-9 in the objective and in the duals feeding the
 //!   Benders cut.
+//! * **Cold re-evaluation** — `evaluate_criticality` on a design's
+//!   criticality reproduces the design's penalty.
 //! * **Telemetry** — the pool emits the `flexile.scenario_warm_hit/miss`,
 //!   `flexile.dual_restart` counters and the `flexile.subproblem_wait`
 //!   histogram, and stays purely observational.
@@ -16,7 +18,8 @@
 //! mutex, so no other test's counters leak into a traced run.
 
 use flexile_core::subproblem::SubproblemTemplate;
-use flexile_core::{solve_flexile, FlexileDesign, FlexileOptions, PoolPolicy};
+use flexile_core::decomposition::evaluate_criticality;
+use flexile_core::{solve_flexile, FlexileDesign, FlexileOptions};
 use flexile_scenario::{enumerate_scenarios, model::link_units, EnumOptions, ScenarioSet};
 use flexile_topo::{NodeId, Topology, TunnelClass, TunnelSet};
 use flexile_traffic::{ClassConfig, Instance};
@@ -268,68 +271,30 @@ fn pool_emits_warm_restart_counters() {
 }
 
 #[test]
-fn batched_pool_bit_identical_to_scalar() {
-    // The tentpole invariant of the batched dispatch: any batch width —
-    // including 0/1, i.e. the scalar pool — and any thread count produce
-    // the same design, bit for bit. Widths beyond the scenario count are
-    // clamped by grouping, so 16 also covers the "one unit per epoch" case.
+fn zero_residency_still_solves() {
+    // `basis_residency: 0` is the cold-every-iteration baseline.
     let _g = exclusive();
-    for (name, (inst, set)) in [("fig1", fig1_setup()), ("sprint", sprint_setup())] {
-        let mut reference = None;
-        for threads in [1usize, 8] {
-            for batch_width in [0usize, 1, 4, 16] {
-                let opts =
-                    FlexileOptions { threads, batch_width, max_iterations: 3, ..Default::default() };
-                let d = design_bits(&solve_flexile(&inst, &set, &opts));
-                match &reference {
-                    None => reference = Some(d),
-                    Some(r) => assert_eq!(
-                        r, &d,
-                        "{name}: diverged at threads={threads} batch_width={batch_width}"
-                    ),
-                }
-            }
-        }
-        // The batched runs must actually exercise the batch kernel, and the
-        // batch counters must be thread-count independent (they are gated by
-        // the deterministic perf harness).
-        let mut counters = None;
-        for threads in [1usize, 8] {
-            flexile_obs::enable();
-            let opts =
-                FlexileOptions { threads, batch_width: 16, max_iterations: 3, ..Default::default() };
-            let _ = solve_flexile(&inst, &set, &opts);
-            flexile_obs::disable();
-            let t = flexile_obs::drain();
-            let counter = |n: &str| t.counters.get(n).copied().unwrap_or(0);
-            let c = (
-                counter("flexile.batch_dispatch"),
-                counter("lp.batch_solves"),
-                counter("lp.batch_divergences"),
-            );
-            assert!(c.0 > 0, "{name}: batch dispatch never fired at threads={threads}");
-            assert!(c.1 > 0, "{name}: lp batch kernel never invoked at threads={threads}");
-            match &counters {
-                None => counters = Some(c),
-                Some(r) => assert_eq!(
-                    r, &c,
-                    "{name}: batch counters diverged across thread counts"
-                ),
-            }
-        }
-    }
+    let (inst, set) = fig1_setup();
+    let opts = FlexileOptions { basis_residency: 0, ..Default::default() };
+    let design = solve_flexile(&inst, &set, &opts);
+    assert!(
+        design.penalty < 1e-6,
+        "residency 0 should still reach PercLoss 0, got {}",
+        design.penalty
+    );
 }
 
 #[test]
-fn legacy_and_cold_policies_still_solve() {
+fn evaluate_criticality_reproduces_design_penalty() {
+    // Re-evaluating a design's criticality solves every scenario cold and
+    // must land on the penalty the decomposition reported.
     let _g = exclusive();
-    let (inst, set) = fig1_setup();
-    for pool in [PoolPolicy::LegacyStriped, PoolPolicy::Cold] {
-        let opts = FlexileOptions { pool, ..Default::default() };
-        let design = solve_flexile(&inst, &set, &opts);
+    for (name, (inst, set)) in [("fig1", fig1_setup()), ("sprint", sprint_setup())] {
+        let design = solve_flexile(&inst, &set, &FlexileOptions::default());
+        let eval = evaluate_criticality(&inst, &set, &design.critical);
         assert!(
-            design.penalty < 1e-6,
-            "{pool:?} should still reach PercLoss 0, got {}",
+            (eval - design.penalty).abs() <= 1e-6 * design.penalty.abs().max(1.0),
+            "{name}: evaluate_criticality {eval} vs design penalty {}",
             design.penalty
         );
     }

@@ -72,9 +72,12 @@ pub fn last() -> Option<String> {
         .clone()
 }
 
-/// Drop the retained in-memory dump (test isolation).
+/// Drop the retained in-memory dump and empty every registered thread's
+/// ring (test isolation: a finished thread whose buffer is not yet retired
+/// would otherwise leak its events into the next dump).
 pub fn clear_last() {
     *last_dump().lock().unwrap_or_else(PoisonError::into_inner) = None;
+    crate::clear_flight_rings();
 }
 
 /// Merge all thread rings into one black-box JSONL trace, retain it in

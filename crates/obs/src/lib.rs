@@ -484,3 +484,11 @@ pub(crate) fn flight_events() -> Vec<Event> {
     out.sort_by_key(|e| (e.ts_us, e.tid));
     out
 }
+
+/// Empty every registered thread's flight-recorder ring.
+pub(crate) fn clear_flight_rings() {
+    let reg = registry().lock().unwrap_or_else(PoisonError::into_inner);
+    for buf in reg.iter() {
+        buf.lock().unwrap_or_else(PoisonError::into_inner).flight.clear();
+    }
+}

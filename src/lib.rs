@@ -62,7 +62,7 @@ pub mod prelude {
     pub use flexile_core::{
         effective_betas, flexile_losses, flexile_losses_with_report, online_allocate,
         online_allocate_robust, solve_flexile, solve_ip, DecompositionOptions, DegradationLevel,
-        FlexileDesign, FlexileOptions, IpOptions, OnlineOutcome, PoolPolicy,
+        FlexileDesign, FlexileOptions, IpOptions, OnlineOutcome,
     };
     pub use flexile_emu::{emulate_scheme, run_chaos, ChaosReport, ChaosTrace, EmuConfig};
     pub use flexile_metrics::{flow_loss, perc_loss, scen_loss, Cdf, LossMatrix};

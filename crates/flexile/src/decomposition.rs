@@ -40,17 +40,13 @@
 
 use crate::checkpoint::{self, BestIncumbent, CheckpointError, CheckpointState};
 use crate::master::{solve_master, CutPool, MasterOptions};
-use crate::pool::{with_pool, IterationSolver, PoolCtx, PoolError, PoolSnapshot};
+use crate::pool::{with_pool, PoolCtx, PoolError, PoolHandle, PoolSnapshot};
 use crate::subproblem::{SubproblemSolution, SubproblemTemplate};
 use flexile_metrics::{perc_loss, LossMatrix};
 use flexile_scenario::ScenarioSet;
 use flexile_traffic::Instance;
 use std::path::PathBuf;
 use std::time::Duration;
-
-/// Alias emphasizing that these options configure the offline decomposition
-/// (residency budget, master knobs).
-pub type DecompositionOptions = FlexileOptions;
 
 /// Options for the offline decomposition.
 #[derive(Debug, Clone)]
@@ -191,13 +187,13 @@ pub fn evaluate_criticality(
 
 /// Precomputed, deterministic derivations from the problem definition
 /// (identical for a fresh run and a resume).
-pub(crate) struct Prepared {
-    pub(crate) betas: Vec<f64>,
-    pub(crate) allowed: Vec<Vec<bool>>,
-    pub(crate) loss_ub: Option<Vec<Vec<f64>>>,
+struct Prepared {
+    betas: Vec<f64>,
+    allowed: Vec<Vec<bool>>,
+    loss_ub: Option<Vec<Vec<f64>>>,
 }
 
-pub(crate) fn prepare(inst: &Instance, set: &ScenarioSet, opts: &FlexileOptions) -> Prepared {
+fn prepare(inst: &Instance, set: &ScenarioSet, opts: &FlexileOptions) -> Prepared {
     let nf = inst.num_flows();
     let betas = crate::effective_betas(inst, set);
 
@@ -326,7 +322,7 @@ type Incumbent = (f64, Vec<Vec<bool>>, Vec<Vec<f64>>, Vec<f64>);
 
 /// The complete mutable state of the Algorithm-1 loop, separated out so an
 /// iteration boundary can be checkpointed and restored.
-pub(crate) struct BendersState {
+struct BendersState {
     /// Last completed iteration (0 = none yet).
     it: usize,
     /// Criticality proposal for the next iteration.
@@ -342,11 +338,11 @@ pub(crate) struct BendersState {
     /// subproblems by one iteration, so iteration 1 has no bound yet.
     last_bound: Option<f64>,
     /// Converged or exhausted the iteration budget.
-    pub(crate) done: bool,
+    done: bool,
 }
 
 impl BendersState {
-    pub(crate) fn fresh(allowed: &[Vec<bool>], nq: usize) -> Self {
+    fn fresh(allowed: &[Vec<bool>], nq: usize) -> Self {
         BendersState {
             it: 0,
             // Starting heuristic: everything connected is critical.
@@ -363,7 +359,7 @@ impl BendersState {
         }
     }
 
-    pub(crate) fn from_checkpoint(ck: &CheckpointState) -> Result<Self, CheckpointError> {
+    fn from_checkpoint(ck: &CheckpointState) -> Result<Self, CheckpointError> {
         // Checkpoints are only written at iteration boundaries, where an
         // incumbent always exists; a valid-checksum file claiming otherwise
         // was hand-crafted.
@@ -451,7 +447,7 @@ impl CheckpointPlan {
     /// Write a snapshot if this boundary is due. A write failure degrades
     /// to a counter (`flexile.checkpoint_error`) rather than killing a run
     /// that is otherwise healthy.
-    fn maybe_write(&self, state: &BendersState, solver: &dyn IterationSolver, betas: &[f64]) {
+    fn maybe_write(&self, state: &BendersState, solver: &PoolHandle<'_>, betas: &[f64]) {
         let Some(path) = &self.path else { return };
         if !state.done && !state.it.is_multiple_of(self.every) {
             return;
@@ -463,7 +459,7 @@ impl CheckpointPlan {
     }
 }
 
-pub(crate) fn design_from_state(state: BendersState, betas: &[f64]) -> FlexileDesign {
+fn design_from_state(state: BendersState, betas: &[f64]) -> FlexileDesign {
     let (penalty, critical, offline_loss, alpha) =
         state.best.expect("at least one iteration ran");
     FlexileDesign {
@@ -476,15 +472,14 @@ pub(crate) fn design_from_state(state: BendersState, betas: &[f64]) -> FlexileDe
     }
 }
 
-/// The Algorithm-1 iteration loop, generic over how an iteration's
-/// subproblems are actually scheduled and solved.
-pub(crate) fn run_decomposition(
+/// The Algorithm-1 iteration loop over the persistent scenario pool.
+fn run_decomposition(
     inst: &Instance,
     set: &ScenarioSet,
     opts: &FlexileOptions,
     betas: &[f64],
     allowed: &[Vec<bool>],
-    solver: &mut dyn IterationSolver,
+    solver: &mut PoolHandle<'_>,
     mut state: BendersState,
 ) -> FlexileDesign {
     let nf = inst.num_flows();
@@ -514,7 +509,7 @@ pub(crate) fn run_decomposition(
             .field("iteration", it)
             .field("solved", todo.len());
 
-        // Solve subproblems through the configured scheduler. Workers never
+        // Solve subproblems on the scenario pool. Workers never
         // panic on solver failures: each scenario's result is a `Result`,
         // and a terminal LP error — or a contained-and-retried panic that
         // exhausted its retries ([`PoolError::ScenarioPoisoned`]) — just
@@ -643,9 +638,6 @@ pub(crate) fn run_decomposition(
             dual_restarts,
         });
         state.it = it;
-        // Boundary hook: distributed schedulers broadcast this iteration's
-        // cut-pool delta and the incumbent to their workers here.
-        solver.iteration_complete(it, upper, &state.z);
 
         if it == opts.max_iterations {
             state.done = true;

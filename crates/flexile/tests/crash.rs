@@ -403,14 +403,21 @@ fn resume_refuses_mismatched_problem_or_options() {
     other_inst.classes[0].beta = 0.95;
     assert!(matches!(
         decompose_resume(&other_inst, &set, &opts),
-        Err(CheckpointError::ProblemMismatch { .. })
+        Err(CheckpointError::ProblemMismatch { component: "classes" })
     ));
 
     // Different trajectory-relevant options.
     let other_opts = FlexileOptions { prune: false, ..opts.clone() };
     assert!(matches!(
         decompose_resume(&inst, &set, &other_opts),
-        Err(CheckpointError::OptionsMismatch { .. })
+        Err(CheckpointError::OptionsMismatch { component: "search" })
+    ));
+
+    // Different basis residency: the warm-start history diverges.
+    let colder = FlexileOptions { basis_residency: 0, ..opts.clone() };
+    assert!(matches!(
+        decompose_resume(&inst, &set, &colder),
+        Err(CheckpointError::OptionsMismatch { component: "basis_residency" })
     ));
 
     // No directory configured at all.
